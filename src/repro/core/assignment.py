@@ -63,16 +63,21 @@ class TaskContext:
 def build_task_contexts(wl: Workload, *, top_r: int = DEFAULT_TOP_R) -> list[TaskContext]:
     """Ranked worker candidates for every task in the workload.
 
-    Grouping worker instances by slot once, then computing task→worker
-    distances per slot, is O(|T| · Σ_j n_j) with n_j workers active at slot j.
+    Grouping worker instances by slot once (a stable sort keeps each slot's
+    workers in row order), then computing task→worker distances per slot, is
+    O(|T| · Σ_j n_j) with n_j workers active at slot j.
     """
-    by_slot: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     w = wl.workers
-    for slot, grp in w.groupby("slot"):
-        by_slot[int(slot)] = (
-            grp["worker_id"].to_numpy(np.int64),
-            grp[["x", "y"]].to_numpy(np.float64),
-        )
+    slot_col = w["slot"].to_numpy(np.int64)
+    order = np.argsort(slot_col, kind="stable")
+    all_ids = w["worker_id"].to_numpy(np.int64)[order]
+    all_pos = w[["x", "y"]].to_numpy(np.float64)[order]
+    slots, starts = np.unique(slot_col[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    by_slot: dict[int, tuple[np.ndarray, np.ndarray]] = {
+        int(j): (all_ids[a:b], all_pos[a:b])
+        for j, a, b in zip(slots, starts, ends)
+    }
     ctxs = []
     for row in wl.tasks.itertuples(index=False):
         loc = np.array([row.x, row.y])

@@ -14,6 +14,7 @@ worker until the budget is exhausted (the paper's Rand baseline).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,17 @@ from repro.core.assignment import TaskContext
 from repro.core.quality import p_vector, quality_from_p
 
 EPS = 1e-12
+
+
+def gain_per_cost(gain: float, cost: float) -> float:
+    """The greedy heuristic Δq/cost.
+
+    A zero-cost candidate with positive gain ranks +inf; the solvers' slot-
+    ordered comparisons send ties among +inf to the lowest slot.
+    """
+    if cost > 0.0:
+        return gain / cost
+    return math.inf if gain > 0.0 else 0.0
 
 
 @dataclass
@@ -72,7 +84,7 @@ def solve_sqm_approx(ctx: TaskContext, budget: float, k: int) -> Assignment:
             q_new = _quality_of(exec_slots + [x], m, k)
             stats["candidate_evals"] += 1
             stats["interp_ops"] += m
-            h = (q_new - q_cur) / costs[x]
+            h = gain_per_cost(q_new - q_cur, float(costs[x]))
             if h > best_h + EPS:
                 best_x, best_h, best_q = x, h, q_new
         if best_x is None or best_q is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment
+from repro.core.greedy import EPS, Assignment, gain_per_cost
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import Candidate, VoronoiTreeIndex
 
@@ -78,7 +78,7 @@ class _NaiveSolver:
             )
             self.counters["candidates_evaluated"] += 1
             self.counters["interp_ops"] += self.m
-            h = (q_new - self.q_cur) / self.costs[x]
+            h = gain_per_cost(q_new - self.q_cur, float(self.costs[x]))
             if best is None or h > best.heuristic + EPS:
                 best = Candidate(slot=x, heuristic=h, gain=q_new - self.q_cur)
         return best

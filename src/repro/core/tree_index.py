@@ -18,9 +18,10 @@ paper describes:
    ``[0, 1/m]`` (m ≥ 3), that ρ lower bound yields a sound quality upper
    bound.  Nodes are popped best-first from a heap; a node splits until its
    endpoints share the same k-NN set (stopping condition 1, justified by
-   Lemma 8) or its segment length drops below ``t_s`` (condition 2); leaf
-   candidates are evaluated exactly; nodes whose bound cannot beat the best
-   exact value found are pruned.
+   Lemma 8) or its segment length drops below ``t_s`` (condition 2); a
+   leaf's candidates are evaluated exactly, all in one vectorized pass over
+   the union of their affected regions, then compared in slot order; nodes
+   whose bound cannot beat the best exact value found are pruned.
 
 Affected-region bounds use two monotone arrays: ``M(y) = max_{y'≤y} (y'+d_k)``
 and ``N(y) = min_{y'≥y} (y'−d_k)``, both nondecreasing, so the superset window
@@ -28,24 +29,19 @@ of any segment's influence is found by binary search.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS, Assignment
+from repro.core.greedy import EPS, Assignment, gain_per_cost
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = ["VoronoiTreeIndex", "solve_sqm_approx_star"]
-
-
-def _g(p: np.ndarray | float) -> np.ndarray | float:
-    """Entropy contribution −p·log2 p (0 at p ≤ 0)."""
-    arr = np.asarray(p, dtype=np.float64)
-    out = partial_quality(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
 @dataclass
@@ -53,6 +49,32 @@ class Candidate:
     slot: int
     heuristic: float
     gain: float
+
+
+def _beats(h: float, x: int, best: Candidate) -> bool:
+    """Slot-ordered greedy comparison: a higher Δq/cost wins beyond ``EPS``;
+    within ``EPS`` (or both +inf) the lower slot wins."""
+    if h > best.heuristic + EPS:
+        return True
+    return (h == best.heuristic or abs(h - best.heuristic) <= EPS) and x < best.slot
+
+
+def _g_exec(m: int) -> float:
+    """Entropy contribution g(1/m) = −(1/m)·log2(1/m) of an executed slot."""
+    p = 1.0 / m
+    return -p * math.log2(p)
+
+
+def _sparse_table(values: np.ndarray) -> list[list[float]]:
+    """Range-min sparse table: level ``l`` holds the minima of spans 2^l."""
+    levels = [values]
+    for lvl in range(1, max(1, len(values).bit_length())):
+        half = 1 << (lvl - 1)
+        prev = levels[-1]
+        if half >= len(prev):
+            break
+        levels.append(np.minimum(prev[:-half], prev[half:]))
+    return [t.tolist() for t in levels]
 
 
 class VoronoiTreeIndex:
@@ -68,7 +90,9 @@ class VoronoiTreeIndex:
         if m < 3:
             raise ValueError("tree index requires m >= 3 (entropy monotonicity)")
         self.m, self.k = m, k
+        self.g_exec = _g_exec(m)
         self.costs = np.asarray(costs, dtype=np.float64).copy()
+        self._rmq_cost = _sparse_table(self.costs)
         self.exec_sorted = np.sort(np.asarray(list(initial_exec), dtype=np.int64))
         self.is_exec = np.zeros(m, dtype=bool)
         self.is_exec[self.exec_sorted] = True
@@ -105,46 +129,42 @@ class VoronoiTreeIndex:
         # Executed slots are never "affected" by a tentative execution.
         self.dk[self.is_exec] = 0.0
         self.p = np.clip(p, 0.0, None)
-        self.g_p = _g(self.p)
+        self.g_p = partial_quality(self.p)
         s_km1 = self.D_sum - D[:, -1]
         rho_lb = (s_km1 + 1.0) / (k * m)
         pub = np.clip((1.0 - rho_lb) / m, 0.0, 1.0 / m)
         pub[self.is_exec] = 1.0 / m
-        diff = np.clip(_g(pub) - self.g_p, 0.0, None)
+        diff = np.clip(partial_quality(pub) - self.g_p, 0.0, None)
         diff[self.is_exec] = 0.0
-        self.prefix_diff = np.concatenate([[0.0], np.cumsum(diff)])
-        self.M = np.maximum.accumulate(slots + self.dk)
-        self.N = np.minimum.accumulate((slots - self.dk)[::-1])[::-1]
+        self._prefix_diff = np.concatenate([[0.0], np.cumsum(diff)]).tolist()
+        self._M = np.maximum.accumulate(slots + self.dk).tolist()
+        self._N = np.minimum.accumulate((slots - self.dk)[::-1])[::-1].tolist()
         self.q_cur = float(self.g_p.sum())
-        self._build_rmq()
+        self._rmq_gp = _sparse_table(self.g_p)
         self.timers["refresh"] += time.perf_counter() - t0
 
-    def _build_rmq(self) -> None:
-        """Sparse tables for range-min of g_p and of costs."""
-        m = self.m
-        levels = max(1, m.bit_length())
-        self._rmq_gp = [self.g_p.copy()]
-        self._rmq_cost = [self.costs.copy()]
-        for lvl in range(1, levels):
-            half = 1 << (lvl - 1)
-            prev_g, prev_c = self._rmq_gp[-1], self._rmq_cost[-1]
-            if half >= len(prev_g):
-                break
-            self._rmq_gp.append(np.minimum(prev_g[:-half], prev_g[half:]))
-            self._rmq_cost.append(np.minimum(prev_c[:-half], prev_c[half:]))
-
-    def _range_min(self, table: list[np.ndarray], l: int, r: int) -> float:
-        span = r - l + 1
-        lvl = span.bit_length() - 1
-        lvl = min(lvl, len(table) - 1)
-        half = 1 << lvl
-        return float(min(table[lvl][l], table[lvl][r - half + 1]))
+    @staticmethod
+    def _range_min(table: list[list[float]], l: int, r: int) -> float:
+        lvl = min((r - l + 1).bit_length() - 1, len(table) - 1)
+        row = table[lvl]
+        a, b = row[l], row[r - (1 << lvl) + 1]
+        return a if a <= b else b
 
     def update_cost(self, slot: int, new_cost: float) -> None:
-        """Rank-bumped travel cost for ``slot`` (multi-task conflicts)."""
+        """Rank-bumped travel cost for ``slot`` (multi-task conflicts).
+
+        Only the cost table's entries whose span covers ``slot`` change: one
+        slice per level.
+        """
         self.costs[slot] = new_cost
         self.h_valid[slot] = False
-        self._build_rmq()
+        table = self._rmq_cost
+        table[0][slot] = float(new_cost)
+        for lvl in range(1, len(table)):
+            half = 1 << (lvl - 1)
+            prev, row = table[lvl - 1], table[lvl]
+            a, b = max(0, slot - 2 * half + 1), min(slot, len(row) - 1) + 1
+            row[a:b] = map(min, prev[a:b], prev[a + half:b + half])
 
     def commit(self, slot: int) -> None:
         """Execute ``slot`` and refresh all k-NN state.
@@ -168,43 +188,58 @@ class VoronoiTreeIndex:
     # ------------------------------------------------------------- windows
     def _window(self, l: int, r: int) -> tuple[int, int]:
         """Superset of slots affected by executing any slot in [l, r]."""
-        lo = int(np.searchsorted(self.M, l, side="right"))
-        hi = int(np.searchsorted(self.N, r, side="left")) - 1
+        lo = bisect.bisect_right(self._M, l)
+        hi = bisect.bisect_left(self._N, r) - 1
         return min(lo, l), max(hi, r)
 
     # ------------------------------------------------------------- bounds
     def _node_ub(self, l: int, r: int, rem_budget: float) -> float:
         min_cost = self._range_min(self._rmq_cost, l, r)
-        if not np.isfinite(min_cost) or min_cost > rem_budget:
-            return -np.inf
-        own = _g(1.0 / self.m) - self._range_min(self._rmq_gp, l, r)
+        if min_cost == math.inf or min_cost > rem_budget:
+            return -math.inf
+        own = self.g_exec - self._range_min(self._rmq_gp, l, r)
         lo, hi = self._window(l, r)
-        nb = float(self.prefix_diff[hi + 1] - self.prefix_diff[lo])
-        gain = max(0.0, own) + nb
-        return gain / max(min_cost, EPS)
+        gain = max(0.0, own) + (self._prefix_diff[hi + 1] - self._prefix_diff[lo])
+        return gain_per_cost(gain, min_cost)
 
     # --------------------------------------------------------------- exact
-    def exact_heuristic(self, x: int) -> Candidate:
-        """Exact Δq/cost of tentatively executing ``x`` (affected-region only)."""
+    def _evaluate(self, xs: np.ndarray) -> tuple[list[float], list[float]]:
+        """Exact Δq and Δq/cost of tentatively executing each unexecuted slot
+        in ``xs``, in one pass over the union of their affected windows.
+
+        Every slot a candidate affects lies inside its window, so the rows
+        need no window mask beyond ``0 < |y − x| < d_k(y)`` (d_k is 0 at
+        executed slots).  Each result is cached with its window.
+        """
         t0 = time.perf_counter()
         m, k = self.m, self.k
-        lo, hi = self._window(x, x)
-        ys = np.arange(lo, hi + 1)
-        d = np.abs(ys - x).astype(np.float64)
-        mask = (~self.is_exec[ys]) & (ys != x) & (d < self.dk[ys])
-        ys, d = ys[mask], d[mask]
-        new_sum = self.D_sum[ys] - self.dk[ys] + d
+        wins = [self._window(x, x) for x in xs.tolist()]
+        lo = np.array([w[0] for w in wins], dtype=np.int64)
+        hi = np.array([w[1] for w in wins], dtype=np.int64)
+        y0, y1 = int(lo.min()), int(hi.max()) + 1
+        d = np.abs(np.arange(y0, y1)[None, :] - xs[:, None]).astype(np.float64)
+        dk = self.dk[y0:y1]
+        affected = (d > 0.0) & (d < dk)
+        new_sum = self.D_sum[y0:y1] - dk + d
         new_p = np.clip((1.0 - new_sum / (k * m)) / m, 0.0, None)
-        gain = float((_g(new_p) - self.g_p[ys]).sum())
-        gain += _g(1.0 / m) - float(self.g_p[x])
-        self.counters["interp_ops"] += hi - lo + 1
+        delta = np.where(affected, partial_quality(new_p) - self.g_p[y0:y1], 0.0)
+        gains = delta.sum(axis=1) + (self.g_exec - self.g_p[xs])
+        hs = [
+            gain_per_cost(g, c)
+            for g, c in zip(gains.tolist(), self.costs[xs].tolist())
+        ]
+        self.counters["interp_ops"] += int((hi - lo).sum()) + len(xs)
+        self.h_valid[xs] = True
+        self.h_last[xs] = hs
+        self.gain_last[xs] = gains
+        self.win_lo[xs], self.win_hi[xs] = lo, hi
         self.timers["interp"] += time.perf_counter() - t0
-        h = gain / float(self.costs[x])
-        self.h_valid[x] = True
-        self.h_last[x] = h
-        self.gain_last[x] = gain
-        self.win_lo[x], self.win_hi[x] = lo, hi
-        return Candidate(slot=x, heuristic=h, gain=gain)
+        return gains.tolist(), hs
+
+    def exact_heuristic(self, x: int) -> Candidate:
+        """Exact Δq/cost of tentatively executing ``x`` (affected-region only)."""
+        gains, hs = self._evaluate(np.array([x], dtype=np.int64))
+        return Candidate(slot=x, heuristic=hs[0], gain=gains[0])
 
     def _same_knn_endpoints(self, l: int, r: int) -> bool:
         """Stopping condition 1: knn(l) == knn(r) ⇒ whole segment is one
@@ -234,9 +269,8 @@ class VoronoiTreeIndex:
                              gain=float(self.gain_last[x0]))
         # Subtrees holding no stale affordable candidate are skipped outright
         # (the paper's "otherwise, the entire subtree is skipped").
-        stale_ps = np.concatenate(
-            [[0], np.cumsum(afford & ~self.h_valid)]
-        )
+        stale = afford & ~self.h_valid
+        stale_ps = np.concatenate([[0], np.cumsum(stale)]).tolist()
 
         def _has_stale(l: int, r: int) -> bool:
             return stale_ps[r + 1] > stale_ps[l]
@@ -245,7 +279,7 @@ class VoronoiTreeIndex:
         tie = 0
         root_ub = self._node_ub(0, m - 1, rem_budget)
         if (
-            np.isfinite(root_ub)
+            root_ub > -math.inf
             and _has_stale(0, m - 1)
             and (best is None or root_ub >= best.heuristic - EPS)
         ):
@@ -259,22 +293,14 @@ class VoronoiTreeIndex:
             is_leaf = (r - l + 1) <= t_s or self._same_knn_endpoints(l, r)
             if is_leaf:
                 self.timers["index"] += time.perf_counter() - t0
-                for x in range(l, r + 1):
-                    if not afford[x]:
-                        continue
-                    if self.h_valid[x]:
-                        continue  # already counted via the cached seed
-                    cand = self.exact_heuristic(x)
-                    self.counters["candidates_evaluated"] += 1
-                    if (
-                        best is None
-                        or cand.heuristic > best.heuristic + EPS
-                        or (
-                            abs(cand.heuristic - best.heuristic) <= EPS
-                            and cand.slot < best.slot
-                        )
-                    ):
-                        best = cand
+                # Leaves are disjoint, so the stale slots found at the start
+                # are exactly the leaf's unevaluated affordable candidates.
+                xs = np.flatnonzero(stale[l:r + 1]) + l
+                gains, hs = self._evaluate(xs)
+                self.counters["candidates_evaluated"] += len(xs)
+                for x, h, g in zip(xs.tolist(), hs, gains):
+                    if best is None or _beats(h, x, best):
+                        best = Candidate(slot=x, heuristic=h, gain=g)
                 t0 = time.perf_counter()
             else:
                 mid = (l + r) // 2
@@ -282,7 +308,7 @@ class VoronoiTreeIndex:
                     if not _has_stale(cl, cr):
                         continue
                     ub_c = self._node_ub(cl, cr, rem_budget)
-                    if np.isfinite(ub_c) and (
+                    if ub_c > -math.inf and (
                         best is None or ub_c >= best.heuristic - EPS
                     ):
                         tie += 1
@@ -309,7 +335,7 @@ def _best_single_subtask(
     p = np.clip((1.0 - sums / (k * m)) / m, 0.0, None)
     gp = partial_quality(p)
     rows = np.arange(len(cand))
-    gp[rows, cand] = _g(1.0 / m)
+    gp[rows, cand] = _g_exec(m)
     q = gp.sum(axis=1)
     i = int(np.argmax(q))
     return int(cand[i]), float(q[i])

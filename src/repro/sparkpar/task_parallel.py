@@ -28,7 +28,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.assignment import TaskContext, build_task_contexts
-from repro.core.greedy import Assignment
+from repro.core.greedy import Assignment, gain_per_cost
 from repro.core.multi_greedy import MultiResult
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex
@@ -190,7 +190,7 @@ def solve_msqm_task_parallel(
                     e["rank"] = r
                     e["worker_id"] = w
                     e["cost"] = new_cost
-                    e["heuristic"] = float(e["gain"]) / new_cost
+                    e["heuristic"] = gain_per_cost(float(e["gain"]), new_cost)
                 continue
             if cost > rem:
                 stopped.add(t)

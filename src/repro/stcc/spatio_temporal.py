@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assignment import TaskContext
-from repro.core.greedy import EPS
+from repro.core.greedy import EPS, gain_per_cost
 from repro.core.quality import knn_distances, partial_quality
 
 __all__ = [
@@ -158,7 +158,7 @@ def solve_stcc_greedy(
                 exec_sets[i].add(slot)
                 _, q_new = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
                 exec_sets[i].discard(slot)
-                h = (q_new - q_cur) / c
+                h = gain_per_cost(q_new - q_cur, c)
                 if best is None or h > best[0] + EPS:
                     best = (h, i, slot, q_new, float(c))
         if best is None:

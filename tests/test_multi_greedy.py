@@ -132,3 +132,52 @@ class TestMultiRand:
         assert [a.exec_slots for a in r1.assignments] == [
             a.exec_slots for a in r2.assignments
         ]
+
+
+class TestPinnedOpCounts:
+    """Plan and per-task op counts recorded before the index's leaf batch
+    was introduced; speed-ups of the index must leave them unchanged."""
+
+    #: task → (exec_slots in commit order, workers, (candidates_evaluated,
+    #: candidates_total, nodes_expanded, interp_ops, steps))
+    PINNED = {
+        0: ([23, 17, 22, 5, 32, 6, 33, 4, 27, 16, 31, 9, 20, 37, 14, 2, 8],
+            [61, 357, 61, 313, 160, 313, 160, 313, 135, 260, 160, 353, 357,
+             347, 202, 313, 353],
+            (302, 549, 156, 6916, 17)),
+        1: ([10, 9, 33, 15, 26, 27, 1, 36, 20, 31, 6, 17, 2, 37, 24, 30, 14],
+            [109, 109, 365, 360, 37, 37, 262, 105, 168, 50, 127, 108, 262,
+             105, 345, 37, 360],
+            (333, 593, 194, 8011, 17)),
+        2: ([21, 17, 16, 30, 13, 28, 0, 36, 8, 1, 33, 24, 37, 20, 4, 12],
+            [179, 307, 311, 126, 202, 126, 208, 187, 87, 318, 123, 61, 99,
+             179, 75, 128],
+            (303, 537, 179, 6903, 16)),
+        3: ([10, 21, 34, 3, 33, 12, 27, 7, 19, 32, 2, 23, 9, 28, 36, 15],
+            [206, 57, 270, 75, 398, 100, 372, 291, 179, 398, 266, 32, 206,
+             141, 270, 128],
+            (341, 544, 186, 8298, 16)),
+        4: ([26, 15, 28, 36, 11, 5, 33, 34, 25, 4, 17, 7, 14, 29, 20, 38, 32,
+             23],
+            [332, 381, 170, 145, 390, 304, 264, 264, 332, 280, 124, 280, 197,
+             170, 5, 341, 264, 300],
+            (327, 573, 184, 7664, 18)),
+        5: ([19, 21, 34, 1, 32, 12, 39, 3, 6, 18, 35, 29, 11, 22, 2, 28, 13,
+             36],
+            [329, 329, 44, 219, 44, 65, 186, 219, 226, 329, 393, 388, 65, 378,
+             232, 201, 65, 44],
+            (341, 595, 214, 8140, 18)),
+    }
+
+    def test_msqm_serial(self):
+        _, ctxs, b = _instance(n_tasks=6, n_workers=400, m=40, seed=3,
+                               dist="zipf")
+        res = solve_msqm_serial(ctxs, b, 3)
+        assert (res.conflicts, res.steps) == (5, 102)
+        keys = ("candidates_evaluated", "candidates_total", "nodes_expanded",
+                "interp_ops", "steps")
+        got = {
+            a.task_id: (a.exec_slots, a.workers, tuple(a.stats[k] for k in keys))
+            for a in res.assignments
+        }
+        assert got == self.PINNED
