@@ -23,6 +23,24 @@ def test_fig11_sapprox(benchmark, stcc_instance):
     assert r.q_sum > 0
 
 
+@pytest.fixture(scope="module")
+def stcc_instance_large():
+    """The second STCC size: |T|=8, m=40, 800 workers, 25 %."""
+    wl = gen_workload(n_tasks=8, n_workers=800, m=40, seed=0)
+    ctxs = build_task_contexts(wl)
+    b = 0.25 * average_task_cost(ctxs) * 8
+    return wl, ctxs, b
+
+
+def test_fig11_sapprox_t8_m40(benchmark, stcc_instance_large):
+    wl, ctxs, b = stcc_instance_large
+    r = benchmark.pedantic(
+        lambda: solve_stcc_greedy(ctxs, b, 3, domain=wl.domain),
+        rounds=1, iterations=1,
+    )
+    assert r.q_sum > 0
+
+
 def test_fig11_approx_temporal_only(benchmark, stcc_instance):
     wl, ctxs, b = stcc_instance
     r = benchmark.pedantic(

@@ -128,6 +128,36 @@ def _claim(
     return float(cost)
 
 
+def _check_inputs(ctxs: list[TaskContext], k: int) -> None:
+    """Reject inputs every STCC solver would otherwise fail on obscurely."""
+    if not ctxs:
+        raise ValueError("STCC solvers need at least one task")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
+def _p_cells(
+    rho_s: np.ndarray,
+    rho_t: np.ndarray,
+    executed: np.ndarray,
+    w_s: float,
+    w_t: float,
+    m: int,
+) -> np.ndarray:
+    """Eqs 14–15 cell by cell, in the same operation order as stcc_p_matrix."""
+    rho = np.clip(w_s * rho_s + w_t * rho_t, 0.0, 1.0)
+    p = (1.0 - rho) / m
+    p[executed] = 1.0 / m
+    return p
+
+
+def _rho_s(knn: np.ndarray, found: int, k: int, diag: float) -> np.ndarray:
+    """Spatial ρ from ascending neighbour distances on the last axis, of which
+    the first ``found`` are real; the rest pad with ``diag`` (stcc_p_matrix)."""
+    sums = knn[..., :found].sum(axis=-1) + (k - found) * diag
+    return np.clip(sums / (k * diag), 0.0, 1.0)
+
+
 def solve_stcc_greedy(
     ctxs: list[TaskContext],
     budget: float,
@@ -137,37 +167,97 @@ def solve_stcc_greedy(
     w_t: float = 0.7,
     domain: float,
 ) -> StccResult:
-    """SApprox: greedy Δq_sum/cost with the spatiotemporal metric."""
+    """SApprox: greedy Δq_sum/cost with the spatiotemporal metric.
+
+    Executing τ_i^(s) changes only task i's row of p (its temporal k-NN) and
+    slot s's column (its spatial k-NN), so every candidate is scored by the
+    delta of those cells, all candidates of a step in one numpy pass.  The
+    k-NN distances are kept across steps.  Temporal distances are integers,
+    so their sums are exact; spatial sums add the same sorted values in the
+    same order as stcc_p_matrix, so p is bitwise the brute-force one.
+    """
+    _check_inputs(ctxs, k)
     n, m = len(ctxs), ctxs[0].m
     locs = np.array([[c.x, c.y] for c in ctxs])
     diag = float(domain * np.sqrt(2))
-    exec_sets: list[set[int]] = [set() for _ in range(n)]
+    dmat = np.hypot(
+        locs[:, 0][:, None] - locs[:, 0][None, :],
+        locs[:, 1][:, None] - locs[:, 1][None, :],
+    )
+    slots = np.arange(m)
+    # Per (task, slot): k nearest executed-slot distances, padded with m.
+    t_knn = np.full((n, m, k), float(m))
+    t_sum = t_knn.sum(axis=2)
+    # Per (slot, task): k nearest executing-task distances, padded with inf.
+    s_knn = np.full((m, n, k), np.inf)
+    n_exec = np.zeros(m, dtype=np.int64)  # tasks executed per slot
+    executed = np.zeros((n, m), dtype=bool)
+    rho_t = t_sum / (k * m)
+    rho_s = np.ones((n, m))
+    g_p = partial_quality(_p_cells(rho_s, rho_t, executed, w_s, w_t, m))
     ranks: list[dict[int, int]] = [dict() for _ in range(n)]
     claimed: set[tuple[int, int]] = set()
     spent = 0.0
-    _, q_cur = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
+    steps = evaluated = 0
     while True:
-        best = None  # (h, i, slot, q_new, cost)
+        cand_i, cand_s, cand_c = [], [], []
         for i in range(n):
             for slot in range(m):
-                if slot in exec_sets[i]:
+                if executed[i, slot]:
                     continue
                 c = ctxs[i].cost_at_rank(slot, ranks[i].get(slot, 0))
                 if not np.isfinite(c) or spent + c > budget:
                     continue
-                exec_sets[i].add(slot)
-                _, q_new = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
-                exec_sets[i].discard(slot)
-                h = gain_per_cost(q_new - q_cur, c)
-                if best is None or h > best[0] + EPS:
-                    best = (h, i, slot, q_new, float(c))
-        if best is None:
+                cand_i.append(i)
+                cand_s.append(slot)
+                cand_c.append(c)
+        if not cand_i:
             break
-        _, i, slot, q_new, _c = best
-        cost = _claim(ctxs, ranks, claimed, i, slot)
-        exec_sets[i].add(slot)
-        spent += cost
-        q_cur = q_new
+        ci, cs = np.array(cand_i), np.array(cand_s)
+        rows = np.arange(len(ci))
+        evaluated += len(ci)
+        # Row term: slot s enters task i's temporal k-NN at every slot whose
+        # k-th neighbour is farther than s.
+        t_new = t_sum[ci] - np.maximum(
+            0.0, t_knn[ci, :, k - 1] - np.abs(slots[None, :] - cs[:, None])
+        )
+        ex_row = executed[ci]
+        ex_row[rows, cs] = True
+        p_row = _p_cells(rho_s[ci], t_new / (k * m), ex_row, w_s, w_t, m)
+        gain = (partial_quality(p_row) - g_p[ci]).sum(axis=1)
+        # Column term: task i enters slot s's spatial k-NN of every task.
+        knn = np.concatenate([s_knn[cs], dmat[:, ci].T[:, :, None]], axis=2)
+        knn.sort(axis=2)
+        found = np.minimum(n_exec[cs] + 1, k)
+        rs_new = np.empty((len(ci), n))
+        for f in np.unique(found):
+            sel = found == f
+            rs_new[sel] = _rho_s(knn[sel], int(f), k, diag)
+        p_col = _p_cells(rs_new, rho_t[:, cs].T, executed[:, cs].T, w_s, w_t, m)
+        d_col = partial_quality(p_col) - g_p[:, cs].T
+        d_col[rows, ci] = 0.0  # cell (i, s) is already in the row term
+        gain += d_col.sum(axis=1)
+        best = None  # (h, i, slot)
+        for i, slot, g, c in zip(cand_i, cand_s, gain.tolist(), cand_c):
+            h = gain_per_cost(g, c)
+            if best is None or h > best[0] + EPS:
+                best = (h, i, slot)
+        _, i, slot = best
+        spent += _claim(ctxs, ranks, claimed, i, slot)
+        steps += 1
+        executed[i, slot] = True
+        d = np.abs(slots - slot).astype(np.float64)
+        t_knn[i] = np.sort(np.concatenate([t_knn[i], d[:, None]], axis=1),
+                           axis=1)[:, :k]
+        t_sum[i] = t_knn[i].sum(axis=1)
+        rho_t[i] = t_sum[i] / (k * m)
+        s_knn[slot] = np.sort(
+            np.concatenate([s_knn[slot], dmat[:, i][:, None]], axis=1), axis=1
+        )[:, :k]
+        n_exec[slot] += 1
+        rho_s[:, slot] = _rho_s(s_knn[slot], min(int(n_exec[slot]), k), k, diag)
+        g_p = partial_quality(_p_cells(rho_s, rho_t, executed, w_s, w_t, m))
+    exec_sets = [set(np.nonzero(row)[0].tolist()) for row in executed]
     q, q_sum = stcc_quality(exec_sets, locs, m, k, w_s, w_t, diag)
     return StccResult(
         exec_sets=exec_sets,
@@ -175,7 +265,8 @@ def solve_stcc_greedy(
         q_sum=q_sum,
         q_min=float(q.min()),
         total_cost=spent,
-        stats={"w_s": w_s, "w_t": w_t},
+        stats={"w_s": w_s, "w_t": w_t, "steps": steps,
+               "candidates_evaluated": evaluated},
     )
 
 
@@ -190,6 +281,7 @@ def solve_stcc_rand(
     seed: int = 0,
 ) -> StccResult:
     """Rand baseline under the spatiotemporal metric."""
+    _check_inputs(ctxs, k)
     n, m = len(ctxs), ctxs[0].m
     locs = np.array([[c.x, c.y] for c in ctxs])
     diag = float(domain * np.sqrt(2))
@@ -235,6 +327,7 @@ def solve_stcc_opt(
     """
     import itertools
 
+    _check_inputs(ctxs, k)
     n, m = len(ctxs), ctxs[0].m
     if n * m > 18:
         raise ValueError("solve_stcc_opt is exponential; n*m too large")
