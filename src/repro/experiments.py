@@ -227,8 +227,11 @@ def fig8h(*, m: int = 300, n_workers: int = 1000, seed: int = 0) -> pd.DataFrame
 
 # --------------------------------------------------------------- Figure 9
 def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
-          partitions=(1, 2, 4, 8, 16), seed: int = 0) -> pd.DataFrame:
-    """MSQM: serial vs group-parallel vs task-parallel, vs parallelism."""
+          partitions=(1, 2, 4, 8, 16, None), seed: int = 0) -> pd.DataFrame:
+    """MSQM: serial vs group-parallel vs task-parallel, vs parallelism.
+
+    ``None`` is each solver's default layout, one Spark task per core
+    (``defaultParallelism``)."""
     from repro.sparkpar.group_parallel import solve_msqm_group_parallel
     from repro.sparkpar.task_parallel import solve_msqm_task_parallel
 
@@ -240,14 +243,17 @@ def fig9a(spark, *, n_tasks: int = 16, m: int = 100, n_workers: int = 2000,
     rs = solve_msqm_serial(ctxs, b, DEFAULT_K)
     rows.append(("serial", 1, time.perf_counter() - t0, rs.q_sum))
     for p in partitions:
+        label = p or f"default ({spark.sparkContext.defaultParallelism})"
         t0 = time.perf_counter()
         rg, _ = solve_msqm_group_parallel(spark, wl, b, DEFAULT_K,
                                           num_partitions=p)
-        rows.append(("group-parallel", p, time.perf_counter() - t0, rg.q_sum))
+        rows.append(("group-parallel", label, time.perf_counter() - t0,
+                     rg.q_sum))
         t0 = time.perf_counter()
         rt, _ = solve_msqm_task_parallel(spark, wl, b, DEFAULT_K,
                                          num_partitions=p)
-        rows.append(("task-parallel", p, time.perf_counter() - t0, rt.q_sum))
+        rows.append(("task-parallel", label, time.perf_counter() - t0,
+                     rt.q_sum))
     return pd.DataFrame(rows, columns=["method", "partitions", "time_s", "q_sum"])
 
 

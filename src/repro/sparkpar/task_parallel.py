@@ -6,10 +6,13 @@ slot, and the k-th-NN rank they are at), and a Logging Table; worker threads
 run per-task greedy steps and synchronize with the master on conflicts; the
 committed plan is deterministic — consistent with the serialized Algorithm 1.
 
-Spark expression (DESIGN.md §3): worker threads become a
-``groupBy("task_id").applyInPandas`` stage that, each round, rebuilds the
-task's Voronoi tree index from its committed state and emits a *chain* of up
-to ``chain_len`` sequential greedy proposals (slot, worker rank, cost, Δq/c).
+Spark expression (DESIGN.md §3): worker threads become a ``mapInPandas``
+stage over a per-round state frame (one row per active task: its committed
+slots and its bumped ranks as ``array<long>`` columns), laid out as
+:func:`repro.sparkpar.stage.stage_partitions` Spark tasks.  Each row rebuilds
+the task's Voronoi tree index from that state and emits a *chain* of up to
+``chain_len`` sequential greedy proposals (slot, worker rank, cost, Δq/c).
+The task contexts reach the executors as one broadcast variable per solve.
 Within one task a chain is exactly its greedy continuation; across tasks,
 marginal gains are independent except through worker claims — so the master
 (driver) merging all chains in descending heuristic order and committing
@@ -21,10 +24,9 @@ chains are merged in task-id order instead of by heuristic value.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import SparkSession
 
 from repro.core.assignment import TaskContext, build_task_contexts
@@ -32,37 +34,46 @@ from repro.core.greedy import Assignment, gain_per_cost
 from repro.core.multi_greedy import MultiResult
 from repro.core.quality import p_vector, quality_from_p
 from repro.core.tree_index import VoronoiTreeIndex
+from repro.sparkpar.stage import stage_frame, stage_partitions
 from repro.workloads import Workload
 
+#: One row per active task: committed slots in commit order, the slots whose
+#: worker rank was bumped and their ranks, and the global budget left.
+_STATE_SCHEMA = (
+    "task_id long, exec_slots array<long>, bumped_slots array<long>, "
+    "bumped_ranks array<long>, rem_budget double"
+)
+_PROPOSAL_COLUMNS = [
+    "task_id", "ord", "slot", "heuristic", "gain", "cost", "worker_id", "rank",
+]
 _PROPOSAL_SCHEMA = (
     "task_id long, ord long, slot long, heuristic double, gain double, "
     "cost double, worker_id long, rank long"
 )
 
 
-def _make_propose_fn(ctxs: list[TaskContext], k: int, t_s: int, chain_len: int):
-    """Executor-side worker thread: one task's next greedy chain."""
+def _make_propose_fn(
+    contexts: Broadcast[list[TaskContext]], k: int, t_s: int, chain_len: int
+):
+    """Executor-side worker threads: the next greedy chain of every task in
+    one partition of the state frame."""
 
-    def propose(pdf: pd.DataFrame) -> pd.DataFrame:
-        row = pdf.iloc[0]
-        tid = int(row["task_id"])
-        ctx = ctxs[tid]
-        exec_slots = json.loads(row["exec_json"])
-        ranks = json.loads(row["ranks_json"])
-        rem = float(row["rem_budget"])
+    def chain(ctx: TaskContext, row) -> list[tuple]:
+        ranks = dict(zip(row.bumped_slots.tolist(), row.bumped_ranks.tolist()))
+        rem = float(row.rem_budget)
         costs = np.array(
-            [ctx.cost_at_rank(j, ranks.get(str(j), 0)) for j in range(ctx.m)]
+            [ctx.cost_at_rank(j, ranks.get(j, 0)) for j in range(ctx.m)]
         )
-        idx = VoronoiTreeIndex(ctx.m, k, costs, initial_exec=exec_slots)
+        idx = VoronoiTreeIndex(ctx.m, k, costs, initial_exec=row.exec_slots)
         out = []
         for ord_ in range(chain_len):
             cand = idx.best_candidate(rem, t_s)
             if cand is None:
                 break
-            r = ranks.get(str(cand.slot), 0)
+            r = ranks.get(cand.slot, 0)
             out.append(
                 (
-                    tid,
+                    int(row.task_id),
                     ord_,
                     cand.slot,
                     cand.heuristic,
@@ -74,13 +85,17 @@ def _make_propose_fn(ctxs: list[TaskContext], k: int, t_s: int, chain_len: int):
             )
             rem -= float(costs[cand.slot])
             idx.commit(cand.slot)
-        return pd.DataFrame(
-            out,
-            columns=[
-                "task_id", "ord", "slot", "heuristic", "gain",
-                "cost", "worker_id", "rank",
-            ],
-        )
+        return out
+
+    def propose(batches):
+        ctxs = contexts.value
+        for pdf in batches:
+            out = [
+                p
+                for row in pdf.itertuples(index=False)
+                for p in chain(ctxs[int(row.task_id)], row)
+            ]
+            yield pd.DataFrame(out, columns=_PROPOSAL_COLUMNS)
 
     return propose
 
@@ -104,116 +119,132 @@ def solve_msqm_task_parallel(
     exec_slots: list[list[int]] = [[] for _ in range(n)]
     workers_of: list[list[int]] = [[] for _ in range(n)]
     spent_of = np.zeros(n)
-    ranks: list[dict[str, int]] = [dict() for _ in range(n)]
+    ranks: list[dict[int, int]] = [dict() for _ in range(n)]
     claimed: set[tuple[int, int]] = set()
     rem = float(budget)
     active = set(range(n))
     heartbeat: dict[int, float] = {}
     conflict_rows: list[dict] = []
     log_rows: list[dict] = []
-    propose = _make_propose_fn(ctxs, k, t_s, chain_len)
+    round_rows: list[dict] = []
     rounds = 0
-
-    while active and rounds < max_rounds:
-        rounds += 1
-        state = pd.DataFrame(
-            {
-                "task_id": sorted(active),
-                "exec_json": [json.dumps(exec_slots[t]) for t in sorted(active)],
-                "ranks_json": [json.dumps(ranks[t]) for t in sorted(active)],
-                "rem_budget": rem,
-            }
-        )
-        sdf = spark.createDataFrame(state)
-        if num_partitions:
-            sdf = sdf.repartition(num_partitions, "task_id")
-        props = (
-            sdf.groupBy("task_id")
-            .applyInPandas(propose, _PROPOSAL_SCHEMA)
-            .toPandas()
-        )
-        chains: dict[int, list[dict]] = {}
-        for tid, grp in props.groupby("task_id"):
-            chains[int(tid)] = grp.sort_values("ord").to_dict("records")
-        for t in list(active):
-            if t not in chains:
-                active.discard(t)  # no affordable candidate: exhausted
-        ptr = {t: 0 for t in chains}
-        stopped: set[int] = set()
-        committed_this_round = 0
-        bumps_this_round = 0
-        while True:
-            # Heads of all live chains.
-            heads = [
-                (t, chains[t][ptr[t]])
-                for t in chains
-                if t not in stopped and ptr[t] < len(chains[t])
-            ]
-            if not heads:
-                break
-            if priority:
-                heads.sort(key=lambda e: (-e[1]["heuristic"], e[0]))
-            else:
-                heads.sort(key=lambda e: e[0])
-            t, e = heads[0]
-            slot, worker, cost = int(e["slot"]), int(e["worker_id"]), float(e["cost"])
-            heartbeat[t] = float(e["heuristic"])
-            if (worker, slot) in claimed:
-                # Conflict: the element's *gain* is unaffected (quality
-                # depends on slots, not workers), so reprice it at the next
-                # unclaimed rank — the paper's Conflicting-Table bump to the
-                # "k-th lowest cost" worker — and let it re-enter the merge
-                # at its new heuristic position.
-                r = int(e["rank"])
-                while True:
-                    r += 1
-                    w = ctxs[t].worker_at_rank(slot, r)
-                    if w == -1 or (w, slot) not in claimed:
-                        break
-                ranks[t][str(slot)] = r
-                bumps_this_round += 1
-                conflict_rows.append(
-                    {"task_id": t, "slot": slot, "bumped_to_rank": r + 1,
-                     "round": rounds}
+    contexts = spark.sparkContext.broadcast(ctxs)
+    try:
+        propose = _make_propose_fn(contexts, k, t_s, chain_len)
+        while active:
+            if rounds == max_rounds:
+                raise RuntimeError(
+                    f"task-parallel MSQM stopped after max_rounds="
+                    f"{max_rounds} rounds with tasks still active: "
+                    f"{sorted(active)}"
                 )
-                log_rows.append(
-                    {"round": rounds, "task_id": t, "slot": slot,
-                     "heuristic": float(e["heuristic"]), "committed": False,
-                     "reason": "conflict"}
-                )
-                if w == -1:
-                    # No workers left for this slot: the rest of the chain
-                    # assumed it executed — truncate, re-propose next round.
-                    stopped.add(t)
-                else:
-                    new_cost = ctxs[t].cost_at_rank(slot, r)
-                    e["rank"] = r
-                    e["worker_id"] = w
-                    e["cost"] = new_cost
-                    e["heuristic"] = gain_per_cost(float(e["gain"]), new_cost)
-                continue
-            if cost > rem:
-                stopped.add(t)
-                log_rows.append(
-                    {"round": rounds, "task_id": t, "slot": slot,
-                     "heuristic": float(e["heuristic"]), "committed": False,
-                     "reason": "budget"}
-                )
-                continue
-            claimed.add((worker, slot))
-            exec_slots[t].append(slot)
-            workers_of[t].append(worker)
-            spent_of[t] += cost
-            rem -= cost
-            ptr[t] += 1
-            committed_this_round += 1
-            log_rows.append(
-                {"round": rounds, "task_id": t, "slot": slot,
-                 "heuristic": float(e["heuristic"]), "committed": True,
-                 "reason": "ok"}
+            rounds += 1
+            tids = sorted(active)
+            state = pd.DataFrame(
+                {
+                    "task_id": tids,
+                    "exec_slots": [exec_slots[t] for t in tids],
+                    "bumped_slots": [list(ranks[t]) for t in tids],
+                    "bumped_ranks": [list(ranks[t].values()) for t in tids],
+                    "rem_budget": rem,
+                }
             )
-        if committed_this_round == 0 and bumps_this_round == 0:
-            break  # no progress and no rank changes: terminate
+            parts = stage_partitions(spark, len(tids), num_partitions)
+            props = (
+                stage_frame(spark, state, _STATE_SCHEMA, parts)
+                .mapInPandas(propose, _PROPOSAL_SCHEMA)
+                .toPandas()
+            )
+            chains: dict[int, list[dict]] = {}
+            for tid, grp in props.groupby("task_id"):
+                chains[int(tid)] = grp.sort_values("ord").to_dict("records")
+            for t in list(active):
+                if t not in chains:
+                    active.discard(t)  # no affordable candidate: exhausted
+            ptr = {t: 0 for t in chains}
+            stopped: set[int] = set()
+            committed_this_round = 0
+            bumps_this_round = 0
+            while True:
+                # Heads of all live chains.
+                heads = [
+                    (t, chains[t][ptr[t]])
+                    for t in chains
+                    if t not in stopped and ptr[t] < len(chains[t])
+                ]
+                if not heads:
+                    break
+                if priority:
+                    heads.sort(key=lambda e: (-e[1]["heuristic"], e[0]))
+                else:
+                    heads.sort(key=lambda e: e[0])
+                t, e = heads[0]
+                slot, worker = int(e["slot"]), int(e["worker_id"])
+                cost = float(e["cost"])
+                heartbeat[t] = float(e["heuristic"])
+                if (worker, slot) in claimed:
+                    # Conflict: the element's *gain* is unaffected (quality
+                    # depends on slots, not workers), so reprice it at the next
+                    # unclaimed rank — the paper's Conflicting-Table bump to the
+                    # "k-th lowest cost" worker — and let it re-enter the merge
+                    # at its new heuristic position.
+                    r = int(e["rank"])
+                    while True:
+                        r += 1
+                        w = ctxs[t].worker_at_rank(slot, r)
+                        if w == -1 or (w, slot) not in claimed:
+                            break
+                    ranks[t][slot] = r
+                    bumps_this_round += 1
+                    conflict_rows.append(
+                        {"task_id": t, "slot": slot, "bumped_to_rank": r + 1,
+                         "round": rounds}
+                    )
+                    log_rows.append(
+                        {"round": rounds, "task_id": t, "slot": slot,
+                         "heuristic": float(e["heuristic"]), "committed": False,
+                         "reason": "conflict"}
+                    )
+                    if w == -1:
+                        # No workers left for this slot: the rest of the chain
+                        # assumed it executed — truncate, re-propose next round.
+                        stopped.add(t)
+                    else:
+                        new_cost = ctxs[t].cost_at_rank(slot, r)
+                        e["rank"] = r
+                        e["worker_id"] = w
+                        e["cost"] = new_cost
+                        e["heuristic"] = gain_per_cost(float(e["gain"]), new_cost)
+                    continue
+                if cost > rem:
+                    stopped.add(t)
+                    log_rows.append(
+                        {"round": rounds, "task_id": t, "slot": slot,
+                         "heuristic": float(e["heuristic"]), "committed": False,
+                         "reason": "budget"}
+                    )
+                    continue
+                claimed.add((worker, slot))
+                exec_slots[t].append(slot)
+                workers_of[t].append(worker)
+                spent_of[t] += cost
+                rem -= cost
+                ptr[t] += 1
+                committed_this_round += 1
+                log_rows.append(
+                    {"round": rounds, "task_id": t, "slot": slot,
+                     "heuristic": float(e["heuristic"]), "committed": True,
+                     "reason": "ok"}
+                )
+            round_rows.append(
+                {"round": rounds, "active": len(tids), "partitions": parts,
+                 "proposals": len(props), "committed": committed_this_round,
+                 "bumps": bumps_this_round}
+            )
+            if committed_this_round == 0 and bumps_this_round == 0:
+                break  # no progress and no rank changes: terminate
+    finally:
+        contexts.destroy()
 
     assignments = []
     for t in range(n):
@@ -234,6 +265,7 @@ def solve_msqm_task_parallel(
         ),
         "conflicting": pd.DataFrame(conflict_rows),
         "logging": pd.DataFrame(log_rows),
+        "rounds_log": pd.DataFrame(round_rows),
         "rounds": rounds,
     }
     result = MultiResult(

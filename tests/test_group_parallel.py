@@ -69,3 +69,38 @@ class TestGroupParallel:
         wl, _, b = _instance(n_tasks=4, seed=3)
         r, _ = solve_msqm_group_parallel(spark, wl, b, 3, num_partitions=2)
         assert len(r.assignments) == 4
+
+    def test_conflicts_of_single_group_equal_serial(self, spark):
+        """With one conflict group the group gets the whole budget, so its
+        serial solve is the serial solve and reports the same bumps."""
+        wl, ctxs, b = _instance(n_tasks=8, n_workers=80, m=12, seed=1,
+                                dist="gaussian")
+        rs = solve_msqm_serial(ctxs, b, 3)
+        rg, gstats = solve_msqm_group_parallel(spark, wl, b, 3)
+        assert gstats["n_groups"] == 1
+        assert rs.conflicts > 0
+        assert rg.conflicts == rs.conflicts
+        assert rg.q_sum == pytest.approx(rs.q_sum, abs=1e-9)
+
+    def test_groups_run_as_parallel_stage(self, spark):
+        """The group stage (the solve's last Spark stage) runs as
+        min(groups, defaultParallelism) tasks, read from the status
+        tracker."""
+        wl, _, b = _instance(n_tasks=12, n_workers=600, m=20, seed=0)
+        sc = spark.sparkContext
+        group = "test-group-parallel-stage"
+        sc.setJobGroup(group, "group-parallel stage layout")
+        try:
+            _, gstats = solve_msqm_group_parallel(spark, wl, b, 3)
+        finally:
+            for key in ("spark.jobGroup.id", "spark.job.description",
+                        "spark.job.interruptOnCancel"):
+                sc.setLocalProperty(key, None)
+        tracker = sc.statusTracker()
+        last_job = max(tracker.getJobIdsForGroup(group))
+        stage = max(tracker.getJobInfo(last_job).stageIds)
+        dp = sc.defaultParallelism
+        assert gstats["n_groups"] >= 2
+        tasks = tracker.getStageInfo(stage).numTasks
+        assert tasks == min(gstats["n_groups"], dp)
+        assert gstats["partitions"] == tasks
